@@ -50,6 +50,7 @@ from .planner import (
     POLICY_MODES,
     AdaptiveMCStage,
     BoundStage,
+    ConcentrationStage,
     ExplainReport,
     PlanExplanation,
     PlanPolicy,
@@ -60,14 +61,12 @@ from .planner import (
     StageEstimate,
     StageStats,
     adaptive_mc_schedule,
+    bracket_verdict,
     clear_plan_cache,
     effective_index_enabled,
     get_default_policy,
     normalize_tau,
     plan_cache_size,
-    sequential_mc_decision,
-    sequential_mc_grid_decision,
-    sequential_mc_verdict,
     set_default_policy,
 )
 from .range_query import (
@@ -129,6 +128,7 @@ __all__ = [
     "set_index_enabled",
     "knn_candidate_thresholds",
     "BoundStage",
+    "ConcentrationStage",
     "RefineStage",
     "AdaptiveMCStage",
     "PruningStats",
@@ -146,9 +146,7 @@ __all__ = [
     "plan_cache_size",
     "ADAPTIVE_MC_FIRST_FRACTION",
     "adaptive_mc_schedule",
-    "sequential_mc_decision",
-    "sequential_mc_grid_decision",
-    "sequential_mc_verdict",
+    "bracket_verdict",
     "Technique",
     "EuclideanTechnique",
     "DustTechnique",

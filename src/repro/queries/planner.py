@@ -11,11 +11,16 @@ planner extracts it into one composable pipeline:
 * :class:`BoundStage` evaluates lower/upper bound stacks (from the
   engine-cached materializations) for every pair at once and decides the
   cells whose bounds clear the threshold;
+* :class:`ConcentrationStage` (decision workloads) asks the technique
+  for a cheap ``[lower, upper]`` bracket on each undecided cell's exact
+  probability and decides the cells no target τ falls inside;
 * :class:`RefineStage` runs the technique's exact kernel on the
   surviving candidate mask;
 * :class:`AdaptiveMCStage` replaces a fixed-sample-size Monte Carlo
   refinement with escalating rounds and a *sound* sequential stopping
-  rule against ``ε``/``τ`` — see :func:`sequential_mc_decision`.
+  rule against ``ε``/``τ``.
+
+Both bracketing stages decide through one rule, :func:`bracket_verdict`.
 
 A :class:`QueryPlan` is an ordered tuple of stages;
 :meth:`QueryPlan.execute` runs them over one ``(M, N)`` workload and
@@ -39,10 +44,11 @@ final count is bracketed by ``h <= H <= h + (s - m)``, so
   draws land;
 * ``(h + s - m) / s < τ``  ⇒  a **miss**, likewise unconditionally.
 
-Both checks use the same float divisions the fixed path uses, and
-``H/s`` is monotone in ``H``, so an early verdict can *never* disagree
-with the fixed-``s`` verdict on the same seeded draws — the rule prunes
-work, not correctness.
+That is :func:`bracket_verdict` with ``lower = h/s`` and
+``upper = (h + s - m)/s``: both checks use the same float divisions the
+fixed path uses, and ``H/s`` is monotone in ``H``, so an early verdict
+can *never* disagree with the fixed-``s`` verdict on the same seeded
+draws — the rule prunes work, not correctness.
 """
 
 from __future__ import annotations
@@ -118,75 +124,38 @@ def adaptive_mc_schedule(
     return targets
 
 
-def sequential_mc_decision(
-    hits: int, evaluated: int, n_samples: int, tau: float
-) -> Optional[Tuple[bool, float]]:
-    """Sound early verdict for a Monte Carlo decision query.
-
-    ``hits`` of the first ``evaluated`` (of ``n_samples``) seeded draws
-    landed within ε.  Returns ``(is_hit, value)`` when the final
-    fixed-``s`` verdict is already determined, ``None`` while it is
-    still open; ``value`` is the tightest bound on the final hit
-    fraction that is guaranteed to sit on the verdict's side of ``τ``
-    (and is exactly ``hits / n_samples`` once everything is evaluated).
-    """
-    guaranteed = hits / n_samples
-    if guaranteed >= tau:
-        return True, guaranteed
-    possible = (hits + (n_samples - evaluated)) / n_samples
-    if possible < tau:
-        return False, possible
-    return None
-
-
-def sequential_mc_grid_decision(
-    hits: int,
-    evaluated: int,
-    n_samples: int,
-    tau_grid: Sequence[float],
-) -> Optional[float]:
-    """Early verdict covering a whole τ grid in one bracketing pass.
-
-    After ``evaluated`` of ``n_samples`` seeded draws with ``hits``
-    hits, the final hit fraction ``H/s`` is bracketed by
-    ``guaranteed = hits/s <= H/s <= (hits + s - m)/s = possible``.  A
-    grid threshold τ is already decided iff it lies *outside*
-    ``(guaranteed, possible]`` — ``τ <= guaranteed`` is an
-    unconditional hit, ``τ > possible`` an unconditional miss (the same
-    float comparisons :func:`sequential_mc_decision` uses).  When no
-    grid point remains inside the open bracket, ``guaranteed`` is
-    returned as the cell's value: for every grid τ it sits on the same
-    side of τ as the fixed-``s`` fraction, so sweeping the grid over
-    the returned matrix reproduces the fixed path's decisions exactly.
-    Returns ``None`` while any grid threshold is still open.  Once
-    everything is evaluated the bracket collapses and the returned
-    value is the exact hit fraction.
-    """
-    guaranteed = hits / n_samples
-    possible = (hits + (n_samples - evaluated)) / n_samples
-    for tau in tau_grid:
-        if guaranteed < tau <= possible:
-            return None
-    return guaranteed
-
-
-def sequential_mc_verdict(
-    hits: int,
-    evaluated: int,
-    n_samples: int,
+def bracket_verdict(
+    lower,
+    upper,
     tau: Union[float, Tuple[float, ...]],
-) -> Optional[float]:
-    """The value to record for a cell, or ``None`` while undecided.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sound verdicts for cells whose exact value is only bracketed.
 
-    Dispatches on the decision target: a scalar τ uses
-    :func:`sequential_mc_decision`, a τ *grid* (tuple) uses
-    :func:`sequential_mc_grid_decision` so one pass of escalating
-    rounds settles every grid threshold at once.
+    Each cell's final value ``P`` is known to lie in
+    ``[lower, upper]``.  A threshold τ (a scalar, or every point of a
+    τ grid) is decided iff it lies *outside* ``(lower, upper]``:
+    ``τ <= lower`` is an unconditional hit (``P >= τ``), ``τ > upper``
+    an unconditional miss.  Returns ``(decided, value)`` arrays:
+    ``decided`` marks the cells with no target τ inside the open
+    bracket, and ``value`` is the bracket end to record for them —
+    ``lower`` when some τ is a hit, ``upper`` when every τ is a miss.
+    Either end sits on the same side of every target τ as ``P`` itself,
+    so thresholding the recorded value at any τ reproduces the exact
+    verdict: the rule prunes work, never flips a decision.  A collapsed
+    bracket (``lower == upper``) is always decided, at its exact value.
+
+    Every bracketing stage uses it: adaptive Monte Carlo (where after
+    ``m`` of ``s`` draws with ``h`` hits, ``lower = h/s`` and
+    ``upper = (h + s - m)/s``) and the MUNICH concentration stage.
     """
-    if isinstance(tau, tuple):
-        return sequential_mc_grid_decision(hits, evaluated, n_samples, tau)
-    verdict = sequential_mc_decision(hits, evaluated, n_samples, tau)
-    return None if verdict is None else verdict[1]
+    lower = np.asarray(lower, dtype=np.float64)
+    upper = np.asarray(upper, dtype=np.float64)
+    grid = np.sort(np.atleast_1d(np.asarray(tau, dtype=np.float64)))
+    # Grid points <= each end: equal counts <=> none in (lower, upper].
+    hits_at_lower = np.searchsorted(grid, lower, side="right")
+    decided = hits_at_lower == np.searchsorted(grid, upper, side="right")
+    value = np.where(hits_at_lower > 0, lower, upper)
+    return decided, value
 
 
 def normalize_tau(tau) -> Union[None, float, Tuple[float, ...]]:
@@ -1026,6 +995,48 @@ class BoundStage(PlanStage):
         return f"BoundStage(slack={self.slack:g})"
 
 
+class ConcentrationStage(PlanStage):
+    """Decide cells from cheap brackets on their exact probability.
+
+    The technique supplies ``probability_brackets(queries, collection,
+    epsilons, undecided)`` — ``(M, N)`` ``(lower, upper)`` matrices that
+    contain the value its refine kernel would compute for every
+    ``undecided`` cell (or ``None`` when it has no bracket for this
+    workload, which makes the stage a sound no-op).  Cells with no
+    target τ inside their bracket are settled by
+    :func:`bracket_verdict` and record the bracket end on the verdict's
+    side.  Planned only for decision workloads (a scalar τ or a τ
+    grid); value-mode plans never include it, so exact probability
+    matrices stay exact.
+    """
+
+    name = "concentration"
+
+    def run(self, context: PlanContext) -> Tuple[int, int]:
+        if context.tau is None or context.epsilons is None:
+            raise InvalidParameterError(
+                "ConcentrationStage requires a decision workload "
+                "(epsilons and tau)"
+            )
+        brackets = context.technique.probability_brackets(
+            context.queries,
+            context.collection,
+            context.epsilons,
+            context.undecided,
+        )
+        if brackets is None:
+            return 0, 0
+        lower, upper = brackets
+        cells = np.nonzero(context.undecided)
+        decided, value = bracket_verdict(
+            lower[cells], upper[cells], context.tau
+        )
+        rows, cols = cells[0][decided], cells[1][decided]
+        context.values[rows, cols] = value[decided]
+        context.undecided[rows, cols] = False
+        return 0, 0
+
+
 class RefineStage(PlanStage):
     """Run the technique's exact kernel on the surviving mask.
 
@@ -1062,7 +1073,7 @@ class AdaptiveMCStage(RefineStage):
     threshold ``τ`` is forwarded to the technique's refine kernel, which
     evaluates the seeded draw stack in escalating rounds
     (:func:`adaptive_mc_schedule`) and stops as soon as
-    :func:`sequential_mc_decision` settles the cell.  Reported values
+    :func:`bracket_verdict` settles the cell.  Reported values
     are guaranteed to sit on the same side of ``τ`` as the fixed-sample
     path's, so decision queries (``prob_range``) are unchanged — only
     cheaper.
@@ -1210,11 +1221,30 @@ def _series_length(collection: Sequence) -> int:
         return 1
 
 
+def _atoms_per_timestamp(queries: Sequence, collection: Sequence) -> int:
+    """Sample pairs per timestamp, ``s_q·s_c`` (1 for single-valued series)."""
+    try:
+        first_query, first_candidate = queries[0], collection[0]
+    except (IndexError, TypeError):
+        return 1
+    return getattr(first_query, "samples_per_timestamp", 1) * getattr(
+        first_candidate, "samples_per_timestamp", 1
+    )
+
+
+#: Passes over a cell's binned-residual tensor the concentration stage
+#: makes: about ten for binning and moments, then on the one informative
+#: side an exponential per λ iterate and two tilted moments per Newton
+#: step.
+CONCENTRATION_PASSES = 16
+
+
 def _stage_bytes_per_cell(
     stage_name: str,
     technique,
     length: int,
     policy: Optional[PlanPolicy] = None,
+    atoms: int = 1,
 ) -> float:
     """Streamed bytes one cell costs a stage, under the cost model.
 
@@ -1227,6 +1257,12 @@ def _stage_bytes_per_cell(
     streams the float32 tier, so its cells cost half the bytes — which
     is exactly what lets the pilot keep a filter the double-precision
     pricing would have dropped.
+
+    MUNICH's convolution refine streams its DP state: per timestamp,
+    each of the ``atoms = s_q·s_c`` sample pairs shifts an
+    ``n_bins``-wide float64 pmf in and out (``16·n·n_bins·atoms``).  The
+    concentration stage that can spare it reads the ``(n, atoms)``
+    binned-residual tensor :data:`CONCENTRATION_PASSES` times.
     """
     if stage_name == "index":
         segments = getattr(technique, "index_segments", None) or 1
@@ -1235,9 +1271,14 @@ def _stage_bytes_per_cell(
         if policy is not None and policy.precision == "mixed":
             return 16.0 * length
         return 32.0 * length
+    if stage_name == "concentration":
+        return 8.0 * length * atoms * CONCENTRATION_PASSES
     munich = getattr(technique, "_munich", None)
-    if munich is not None and getattr(munich, "method", "") == "montecarlo":
+    method = getattr(munich, "method", "")
+    if method == "montecarlo":
         return 16.0 * length * max(1, getattr(munich, "n_samples", 1))
+    if method == "convolution":
+        return 16.0 * length * getattr(munich, "n_bins", 1) * atoms
     return 16.0 * length
 
 
@@ -1299,6 +1340,7 @@ def tune_plan(
     """
     names = tuple(stage.name for stage in plan.stages)
     length = _series_length(collection)
+    atoms = _atoms_per_timestamp(queries, collection)
     prunable = list(plan.stages[:-1])
     final = plan.stages[-1]
     if policy.mode == "fixed":
@@ -1360,7 +1402,7 @@ def tune_plan(
         policy=policy,
     )
     refine_cost = (
-        _stage_bytes_per_cell(final.name, technique, length, policy)
+        _stage_bytes_per_cell(final.name, technique, length, policy, atoms)
         / STREAM_BYTES_PER_SECOND
     )
     estimates: List[StageEstimate] = []
@@ -1368,7 +1410,7 @@ def tune_plan(
     pilot_broken = False
     for position, stage in enumerate(prunable):
         bytes_per_cell = _stage_bytes_per_cell(
-            stage.name, technique, length, policy
+            stage.name, technique, length, policy, atoms
         )
         if pilot_broken:
             kept.append((bytes_per_cell, position, stage))

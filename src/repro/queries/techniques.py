@@ -70,7 +70,10 @@ prepends a :class:`~repro.queries.planner.BoundStage` over its cached
 bounding-interval stacks, MUNICH-DTW a slack-guarded one over its
 band-inflated envelope stacks, and both swap the fixed-sample Monte Carlo
 refinement for an :class:`~repro.queries.planner.AdaptiveMCStage` when a
-decision threshold ``τ`` is known (``prob_range``).  The exact kernels
+decision threshold ``τ`` is known (``prob_range``); MUNICH's exact
+convolution instead gets a
+:class:`~repro.queries.planner.ConcentrationStage` that settles most
+decision cells from Chernoff brackets before any DP runs.  The exact kernels
 the plans refine with live in ``distance_kernel`` /
 ``probability_kernel`` / ``calibration_kernel`` / ``refine_matrix``;
 :meth:`Technique.matrix_with_stats` returns the score matrix together
@@ -125,7 +128,11 @@ from ..distances.lp import (
 from ..distributions import make_distribution
 from ..dust.distance import Dust
 from ..dust.tables import DustTableCache
-from ..munich.batch import convolved_probability_batch
+from ..munich.batch import (
+    BATCH_BLOCK_ELEMENTS,
+    convolved_probability_batch,
+    probability_brackets_batch,
+)
 from ..munich.bounds import interval_gap_and_span
 from ..munich.exact import draw_materialization_pairs
 from ..munich.query import Munich
@@ -136,17 +143,17 @@ from .index import IndexStage
 from .planner import (
     AdaptiveMCStage,
     BoundStage,
+    ConcentrationStage,
     PlanPolicy,
     PruningStats,
     QueryPlan,
     RefineStage,
     adaptive_mc_schedule,
+    bracket_verdict,
     effective_index_enabled,
     normalize_tau,
     plan_for_workload,
     resolve_policy,
-    sequential_mc_decision,
-    sequential_mc_verdict,
 )
 
 #: Element budget for one broadcast ``(B, N, n)`` block of a tensor matrix
@@ -515,6 +522,21 @@ class Technique(abc.ABC):
         raise UnsupportedQueryError(
             f"{self.name} does not provide matrix bounds"
         )
+
+    def probability_brackets(
+        self,
+        queries: Sequence,
+        collection: Sequence,
+        epsilon: np.ndarray,
+        undecided: np.ndarray,
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(lower, upper)`` brackets for a ``ConcentrationStage``.
+
+        ``(M, N)`` matrices that contain, for every ``undecided`` cell,
+        the exact value :meth:`refine_matrix` would record; ``None``
+        (the default) brackets nothing, making the stage a no-op.
+        """
+        return None
 
     def index_bounds(
         self,
@@ -1360,14 +1382,19 @@ class MunichTechnique(_MultisampleCalibration, Technique):
 
         With ``method="montecarlo"`` and a known decision threshold the
         refinement runs adaptively (escalating sample rounds, sequential
-        stopping); the exact convolution/naive evaluators always refine
-        in full.
+        stopping).  With the exact convolution and a known threshold (a
+        scalar τ or a τ grid), a concentration stage settles the cells
+        whose Chernoff bracket already clears every target τ, and only
+        the rest are convolved; value-mode plans (``tau=None``) refine
+        every bound-undecided cell exactly.
         """
         if kind != "probability":
             return super().build_plan(kind, tau=tau)
         stages: list = []
         if self._munich.use_bounds:
             stages.append(BoundStage())
+            if tau is not None and self._munich.method == "convolution":
+                stages.append(ConcentrationStage())
         if tau is not None and self._munich.method == "montecarlo":
             stages.append(AdaptiveMCStage())
         else:
@@ -1424,6 +1451,49 @@ class MunichTechnique(_MultisampleCalibration, Technique):
             else:
                 lower[start:stop] = np.sqrt((gap * gap).sum(axis=2))
                 upper[start:stop] = np.sqrt((span * span).sum(axis=2))
+        return lower, upper
+
+    def probability_brackets(
+        self,
+        queries: Sequence,
+        collection: Sequence,
+        epsilon: np.ndarray,
+        undecided: np.ndarray,
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Chernoff brackets on the convolved probability of each cell.
+
+        Every undecided cell of the workload goes through
+        :func:`~repro.munich.batch.probability_brackets_batch` in
+        cell-paired blocks, binned on the same grid the refine's DP
+        uses, so each bracket contains the value the refine would
+        record.  ``None`` (no bracket) for the naive and Monte Carlo
+        evaluators and for ragged sample counts, which no tensor can
+        hold.
+        """
+        if self._munich.method != "convolution":
+            return None
+        tensor = self.engine.materialize(collection).samples_tensor()
+        if len(queries) == 1:
+            # Profile calls build a fresh one-item list per call: read
+            # the draws directly instead of churning the engine's LRU.
+            query_tensor = queries[0].samples[None]
+        else:
+            query_tensor = self.engine.materialize(queries).samples_tensor()
+        if tensor is None or query_tensor is None:
+            return None
+        rows, cols = np.nonzero(undecided)
+        lower = np.zeros(undecided.shape)
+        upper = np.ones(undecided.shape)
+        per_cell = tensor.shape[1] * tensor.shape[2] * query_tensor.shape[2]
+        block = max(1, BATCH_BLOCK_ELEMENTS // max(1, per_cell))
+        for start in range(0, rows.size, block):
+            r, c = rows[start:start + block], cols[start:start + block]
+            lower[r, c], upper[r, c] = probability_brackets_batch(
+                query_tensor[r],
+                tensor[c],
+                epsilon[r],
+                n_bins=self._munich.n_bins,
+            )
         return lower, upper
 
     def index_bounds(
@@ -1524,11 +1594,13 @@ class MunichTechnique(_MultisampleCalibration, Technique):
                 squared = (residual**2).sum(axis=1)
                 hits += int(np.count_nonzero(squared <= squared_threshold))
                 evaluated = target
-                verdict = sequential_mc_verdict(
-                    hits, evaluated, n_samples, tau
+                decided, value = bracket_verdict(
+                    hits / n_samples,
+                    (hits + (n_samples - evaluated)) / n_samples,
+                    tau,
                 )
-                if verdict is not None:
-                    out_row[index] = verdict
+                if decided:
+                    out_row[index] = value
                     break
             evaluated_total += evaluated
         return evaluated_total
@@ -1943,7 +2015,7 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
         The same seeded draws as :meth:`_mc_fixed_cells`, evaluated in
         geometrically escalating rounds; each round stacks the
         still-active cells' next draw chunks through one cascade call,
-        then :func:`~repro.queries.planner.sequential_mc_verdict`
+        then :func:`~repro.queries.planner.bracket_verdict`
         retires every cell whose ``>= τ`` verdict is already
         determined (for a grid ``tau`` tuple: whose verdict is the same
         at every grid threshold).  Returns the number of draws actually
@@ -1981,14 +2053,12 @@ class MunichDtwTechnique(_MultisampleCalibration, Technique):
             hit_counts[active] += chunk_hits.sum(axis=1)
             total += active.size * chunk
             evaluated = target
-            survivors = []
-            for i in active:
-                verdict = sequential_mc_verdict(
-                    int(hit_counts[i]), evaluated, n_samples, tau
-                )
-                if verdict is None:
-                    survivors.append(i)
-                else:
-                    out[rows[i], cols[i]] = verdict
-            active = np.asarray(survivors, dtype=np.intp)
+            decided, value = bracket_verdict(
+                hit_counts[active] / n_samples,
+                (hit_counts[active] + (n_samples - evaluated)) / n_samples,
+                tau,
+            )
+            settled = active[decided]
+            out[rows[settled], cols[settled]] = value[decided]
+            active = active[~decided]
         return total

@@ -48,6 +48,48 @@ class ServiceError(ReproError):
         super().__init__(f"[{error_type}] {message}")
         self.error_type = error_type
 
+    @property
+    def retryable(self) -> bool:
+        """Whether another attempt may succeed (see
+        :data:`RETRYABLE_ERROR_TYPES`)."""
+        return self.error_type in RETRYABLE_ERROR_TYPES
+
+
+#: Wire error types worth another attempt: the daemon ran out of time
+#: or capacity for this request, which a retry (or another replica) may
+#: not.  Every other structured error — a bad request, an unknown
+#: technique or collection — would fail the same way again.
+RETRYABLE_ERROR_TYPES = frozenset({"Timeout", "Overloaded"})
+
+
+def checked_reply(
+    response: Dict[str, Any], request_id: str
+) -> Dict[str, Any]:
+    """A decoded reply to ``request_id``, or the typed error it carries.
+
+    Raises :class:`~repro.service.protocol.ProtocolError` on a version or
+    request-id mismatch and :class:`ServiceError` (with the wire
+    ``error_type``) on an ``{"ok": false}`` reply, so a caller only
+    ever sees successful replies.
+    """
+    if response.get("v") != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"peer answered protocol v{response.get('v')!r}, "
+            f"this side speaks v{PROTOCOL_VERSION}"
+        )
+    if response.get("id") not in (request_id, None):
+        raise ProtocolError(
+            f"response id {response.get('id')!r} does not match "
+            f"request id {request_id!r}"
+        )
+    if not response.get("ok"):
+        error = response.get("error") or {}
+        raise ServiceError(
+            str(error.get("type", "UnknownError")),
+            str(error.get("message", "daemon reported an error")),
+        )
+    return response
+
 
 @dataclass(frozen=True)
 class ServiceResult:
@@ -132,24 +174,7 @@ class ServiceClient:
                 "ConnectionClosed",
                 f"daemon at {self.host}:{self.port} closed the connection",
             )
-        response = decode_message(line)
-        if response.get("v") != PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"server answered protocol v{response.get('v')!r}, "
-                f"client speaks v{PROTOCOL_VERSION}"
-            )
-        if response.get("id") not in (request_id, None):
-            raise ProtocolError(
-                f"response id {response.get('id')!r} does not match "
-                f"request id {request_id!r}"
-            )
-        if not response.get("ok"):
-            error = response.get("error") or {}
-            raise ServiceError(
-                error.get("type", "UnknownError"),
-                error.get("message", "daemon reported an error"),
-            )
-        return response
+        return checked_reply(decode_message(line), request_id)
 
     def _query(
         self,

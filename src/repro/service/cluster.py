@@ -56,7 +56,7 @@ from ..queries.session import (
     SimilarityBackend,
 )
 from .catalog import ServiceCatalog, ShardEntry
-from .client import ServiceClient, _epsilon_param
+from .client import ServiceClient, ServiceError, _epsilon_param, checked_reply
 from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -118,7 +118,12 @@ class _ShardChannel:
         payload: Dict[str, Any],
         timeout: Optional[float],
     ) -> Dict[str, Any]:
-        """One request/response round trip with a hard read deadline."""
+        """One request/response round trip with a hard read deadline.
+
+        A structured ``{"ok": false}`` reply raises
+        :class:`~repro.service.client.ServiceError`; the connection
+        stays usable (the whole reply line was read).
+        """
         message = {"v": PROTOCOL_VERSION, "id": request_id, **payload}
         self._sock.settimeout(timeout)
         self._sock.sendall(encode_message(message))
@@ -127,18 +132,7 @@ class _ShardChannel:
             raise ClusterError(
                 f"shard {self.host}:{self.port} closed the connection"
             )
-        response = decode_message(line)
-        if response.get("v") != PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"shard answered protocol v{response.get('v')!r}, "
-                f"coordinator speaks v{PROTOCOL_VERSION}"
-            )
-        if response.get("id") not in (request_id, None):
-            raise ProtocolError(
-                f"response id {response.get('id')!r} does not match "
-                f"request id {request_id!r}"
-            )
-        return response
+        return checked_reply(decode_message(line), request_id)
 
     def close(self) -> None:
         try:
@@ -356,8 +350,17 @@ class ClusterCoordinator:
                         f"shard {shard.endpoint} budget exhausted before "
                         f"send"
                     )
+                # The daemon's own budget shrinks with the coordinator's,
+                # so a retry never asks for more time than is left.
+                payload["timeout"] = max(remaining, 1e-3)
             started = time.perf_counter()
-            response = channel.request(request_id, payload, remaining)
+            try:
+                response = channel.request(request_id, payload, remaining)
+            except ServiceError:
+                # A structured error reply: the connection is healthy.
+                self._checkin(shard, channel)
+                channel = None
+                raise
             self._record_latency(shard, time.perf_counter() - started)
             # The reply is well-formed for *this* request id; whether it
             # wins is decided by the gather loop.  A reply landing after
@@ -440,6 +443,10 @@ class ClusterCoordinator:
             if kind == "ok":
                 resolved.set()
                 return value
+            if isinstance(value, ServiceError) and not value.retryable:
+                # A bad request fails the same way on every attempt.
+                resolved.set()
+                raise value
             finished += 1
             errors.append(value)
             if launched == 1:
@@ -501,9 +508,6 @@ class ClusterCoordinator:
                 payload["technique"] = technique
             if queries is not None:
                 payload["queries"] = queries
-            if deadline is not None:
-                budget = deadline - time.monotonic()
-                payload["timeout"] = max(budget, 1e-3)
             try:
                 results.put(
                     (index, self._query_shard(shard, payload, deadline))
@@ -522,6 +526,10 @@ class ClusterCoordinator:
             threads.append(thread)
         for _ in shards:
             index, outcome = results.get()
+            if isinstance(outcome, ServiceError) and not outcome.retryable:
+                # Fatal for the whole query (the other shards would reject
+                # the same request): raised as is, never degraded.
+                raise outcome
             if isinstance(outcome, BaseException):
                 failures.append((shards[index], outcome))
             else:

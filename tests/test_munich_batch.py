@@ -5,6 +5,10 @@ bin counts, thresholds from degenerate to saturating — the stacked batch
 evaluator equals :func:`repro.munich.exact.convolved_probability` per
 candidate to far better than the 1e-9 batch-kernel tolerance, and the
 technique/profile/matrix/shard layers above it inherit that parity.
+
+The concentration brackets of :func:`probability_brackets_batch` must
+contain that evaluator's value for every cell, and decision plans that
+settle cells from them must reproduce value mode's verdicts exactly.
 """
 
 from __future__ import annotations
@@ -14,14 +18,22 @@ import pytest
 
 from repro.core import InvalidParameterError, MultisampleUncertainTimeSeries, spawn
 from repro.datasets import generate_dataset
+from repro.evaluation.tau import DEFAULT_TAU_GRID
 from repro.munich import (
     Munich,
     convolved_probability,
     convolved_probability_batch,
     stack_candidate_samples,
 )
+from repro.munich.batch import probability_brackets_batch
 from repro.perturbation import ConstantScenario
-from repro.queries import MunichTechnique, ShardedExecutor
+from repro.queries import (
+    ConcentrationStage,
+    MunichTechnique,
+    SessionConfig,
+    ShardedExecutor,
+    SimilaritySession,
+)
 
 PARITY_TOL = 1e-9
 
@@ -240,3 +252,198 @@ class TestMunichTechniqueBatch:
                 epsilons,
             )
         assert np.max(np.abs(sharded - full)) <= PARITY_TOL
+
+
+# ---------------------------------------------------------------------------
+# Concentration brackets: admissible, and never flip a verdict
+# ---------------------------------------------------------------------------
+
+
+def _brackets(query, stacked, epsilon, n_bins=512):
+    """Brackets of one query against a candidate stack (cell-paired)."""
+    count = stacked.shape[0]
+    return probability_brackets_batch(
+        np.broadcast_to(query.samples, (count,) + query.samples.shape),
+        stacked,
+        np.full(count, epsilon),
+        n_bins,
+    )
+
+
+def _assert_brackets_contain(query, stacked, epsilon, n_bins):
+    exact = convolved_probability_batch(query, stacked, epsilon, n_bins)
+    lower, upper = _brackets(query, stacked, epsilon, n_bins)
+    assert np.all(lower <= exact), (lower - exact).max()
+    assert np.all(exact <= upper), (exact - upper).max()
+    # The DP's rounded sums may pass 1 by a few ulps; so may ``upper``.
+    assert np.all((0.0 <= lower) & (upper <= 1.0 + 1e-8))
+    return lower, upper, exact
+
+
+class TestConcentrationBrackets:
+    def test_brackets_contain_dp_value(self):
+        """Property: lower <= P_dp <= upper over random σ, sample
+        counts, bins, and thresholds from overflow-heavy to saturating —
+        including cells whose rounded DP value lands above 1."""
+        rng = np.random.default_rng(99)
+        decided = 0
+        above_one = 0
+        for _ in range(30):
+            length = int(rng.integers(1, 80))
+            s_query = int(rng.integers(1, 6))
+            s_candidate = int(rng.integers(1, 6))
+            sigma = float(rng.uniform(0.01, 2.0))
+            base = rng.normal(size=length).cumsum()
+            query = MultisampleUncertainTimeSeries(
+                base[:, None] + sigma * rng.normal(size=(length, s_query))
+            )
+            stacked = (
+                base[None, :, None]
+                + rng.uniform(0, 1) * rng.normal(size=(16, length, 1))
+                + sigma * rng.normal(size=(16, length, s_candidate))
+            )
+            n_bins = int(rng.choice([2, 16, 512, 4096]))
+            scale = np.sqrt(length) * sigma
+            for factor in (0.05, 0.3, 1.0, 2.0, 5.0):
+                lower, upper, exact = _assert_brackets_contain(
+                    query, stacked, factor * scale, n_bins
+                )
+                decided += int(np.count_nonzero((lower >= 0.5) | (upper < 0.5)))
+                above_one += int(np.count_nonzero(exact > 1.0))
+        assert decided > 0
+        assert above_one > 0
+
+    @pytest.mark.parametrize("n_bins", [512, 4096])
+    def test_values_exactly_at_threshold_and_overflow(self, n_bins):
+        """Atoms exactly at ε² stay in range, larger ones overflow."""
+        query = MultisampleUncertainTimeSeries(np.zeros((6, 2)))
+        rng = np.random.default_rng(3)
+        # Differences of 0, 1, 2 (= ε, so exactly ε²) and 3 (overflow).
+        stacked = rng.choice([0.0, 1.0, 2.0, 3.0], size=(40, 6, 3))
+        lower, upper, exact = _assert_brackets_contain(
+            query, stacked, 2.0, n_bins
+        )
+        assert np.any((exact > 0.0) & (exact < 1.0))
+
+    def test_exact_rows_get_exact_values(self):
+        query = MultisampleUncertainTimeSeries(np.zeros((5, 2)))
+        far = np.full((1, 5, 2), 10.0)  # every atom overflows
+        near = np.zeros((1, 5, 2))  # nothing can overflow
+        lower, upper = _brackets(query, np.concatenate([far, near]), 1.0)
+        np.testing.assert_array_equal(lower, [0.0, 1.0])
+        assert upper[0] == 0.0 and upper[1] >= 1.0
+
+    def test_zero_epsilon_brackets_nothing(self, multisample):
+        stacked = stack_candidate_samples(multisample)
+        lower, upper = _brackets(multisample[0], stacked, 0.0)
+        np.testing.assert_array_equal(lower, 0.0)
+        np.testing.assert_array_equal(upper, 1.0)
+
+
+def _value_mode_sets(query_set, epsilons, tau):
+    values = query_set.profile_matrix(epsilon=epsilons)
+    return [list(row) for row in values.result_sets(tau)]
+
+
+@pytest.fixture(
+    params=["single", "sharded"], ids=["in-process", "sharded-session"]
+)
+def munich_session(request, multisample):
+    config = (
+        SessionConfig()
+        if request.param == "single"
+        else SessionConfig(
+            n_workers=2, backend="serial", row_block=5, col_block=7
+        )
+    )
+    with SimilaritySession(multisample, config=config) as session:
+        yield session
+
+
+class TestConcentrationVerdicts:
+    EPSILONS = np.linspace(1.5, 5.0, 16)
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-12, 0.5, 1.0])
+    def test_prob_range_equals_value_mode(self, munich_session, tau):
+        technique = MunichTechnique(Munich(tau=0.5, n_bins=512))
+        query_set = munich_session.queries().using(technique)
+        result = query_set.prob_range(self.EPSILONS, tau)
+        assert [list(row) for row in result.matches] == _value_mode_sets(
+            query_set, self.EPSILONS, tau
+        )
+
+    def test_tau_grid_equals_value_mode(self, munich_session):
+        technique = MunichTechnique(Munich(tau=0.5, n_bins=512))
+        query_set = munich_session.queries().using(technique)
+        grid = query_set.profile_matrix(
+            epsilon=self.EPSILONS, tau=DEFAULT_TAU_GRID
+        )
+        for tau in DEFAULT_TAU_GRID:
+            assert [list(row) for row in grid.result_sets(tau)] == (
+                _value_mode_sets(query_set, self.EPSILONS, tau)
+            ), tau
+        assert grid.pruning_stats.decided_by("concentration") > 0
+
+    def test_value_mode_plans_no_concentration(self):
+        technique = MunichTechnique(Munich(tau=0.5))
+        plan = technique.build_plan("probability", tau=None)
+        assert not any(
+            isinstance(stage, ConcentrationStage) for stage in plan.stages
+        )
+        plan = technique.build_plan("probability", tau=0.5)
+        assert any(
+            isinstance(stage, ConcentrationStage) for stage in plan.stages
+        )
+
+    @pytest.mark.parametrize(
+        "munich",
+        [
+            Munich(tau=0.5, method="naive", use_bounds=True),
+            Munich(tau=0.5, method="montecarlo", n_samples=32, rng=4),
+            Munich(tau=0.5, use_bounds=False),
+        ],
+        ids=["naive", "montecarlo", "no-bounds"],
+    )
+    def test_other_methods_plan_no_concentration(self, munich):
+        plan = MunichTechnique(munich).build_plan("probability", tau=0.5)
+        assert not any(
+            isinstance(stage, ConcentrationStage) for stage in plan.stages
+        )
+
+    def test_montecarlo_and_naive_bracket_nothing(self, multisample):
+        undecided = np.ones((2, len(multisample)), dtype=bool)
+        for munich in (
+            Munich(tau=0.5, method="naive"),
+            Munich(tau=0.5, method="montecarlo", n_samples=8, rng=1),
+        ):
+            brackets = MunichTechnique(munich).probability_brackets(
+                multisample[:2], multisample, np.full(2, 2.5), undecided
+            )
+            assert brackets is None
+
+    def test_zero_epsilon_is_a_sound_noop(self, multisample):
+        technique = MunichTechnique(Munich(tau=0.5, n_bins=256))
+        values, stats = technique.matrix_with_stats(
+            "probability", multisample[:4], multisample, epsilon=0.0,
+            tau=0.5,
+        )
+        reference = technique.probability_matrix(
+            multisample[:4], multisample, 0.0
+        )
+        assert stats.decided_by("concentration") == 0
+        np.testing.assert_array_equal(values >= 0.5, reference >= 0.5)
+
+    def test_ragged_samples_are_a_sound_noop(self, multisample):
+        rng = np.random.default_rng(8)
+        ragged = list(multisample[:6]) + [
+            MultisampleUncertainTimeSeries(
+                rng.normal(size=(len(multisample[0]), 5))
+            )
+        ]
+        technique = MunichTechnique(Munich(tau=0.5, n_bins=128))
+        values, stats = technique.matrix_with_stats(
+            "probability", ragged[:3], ragged, epsilon=2.5, tau=0.5
+        )
+        reference = technique.probability_matrix(ragged[:3], ragged, 2.5)
+        assert stats.decided_by("concentration") == 0
+        np.testing.assert_array_equal(values >= 0.5, reference >= 0.5)

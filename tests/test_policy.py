@@ -42,8 +42,8 @@ from repro.queries.planner import (
     effective_index_enabled,
     get_default_policy,
     normalize_tau,
+    bracket_verdict,
     plan_cache_size,
-    sequential_mc_grid_decision,
     set_default_policy,
 )
 from repro.queries.session import SessionConfig
@@ -155,15 +155,14 @@ class TestTauGrid:
 
     def test_grid_decision_open_while_any_tau_bracketed(self):
         # hits/s in [2/10, 7/10]: tau=0.5 is inside the open bracket.
-        assert (
-            sequential_mc_grid_decision(2, 5, 10, (0.1, 0.5, 0.9)) is None
-        )
+        decided, _ = bracket_verdict(0.2, 0.7, (0.1, 0.5, 0.9))
+        assert not decided
         # Same draws, grid clear of the bracket: decided, value=2/10.
-        assert sequential_mc_grid_decision(2, 5, 10, (0.1, 0.9)) == 0.2
+        assert bracket_verdict(0.2, 0.7, (0.1, 0.9)) == (True, 0.2)
 
     def test_grid_decision_matches_scalar_rule_at_exhaustion(self):
-        value = sequential_mc_grid_decision(7, 10, 10, (0.2, 0.5, 0.8))
-        assert value == 0.7
+        assert bracket_verdict(0.7, 0.7, (0.2, 0.5, 0.8)) == (True, 0.7)
+        assert bracket_verdict(0.7, 0.7, 0.5) == (True, 0.7)
 
     @pytest.mark.parametrize("seed", [0, 7, 2012])
     def test_grid_never_flips_across_seeds(self, multisample, seed):
@@ -328,6 +327,37 @@ class TestChooser:
             explanation = result.pruning_stats.explanation
             assert "below the pilot floor" in explanation.rationale
             assert "index" in explanation.chosen_stages
+
+    def test_munich_decision_keeps_selective_filters(self):
+        """Above the pilot floor, the MUNICH refine is priced by its DP
+        bytes, so every filter whose pilot selectivity clears the floor
+        pays for itself and stays in the plan."""
+        exact = generate_dataset("CBF", seed=SEED, n_series=96, length=24)
+        scenario = ConstantScenario("normal", 0.6)
+        series = [
+            scenario.apply_multisample(item, 3, spawn(SEED, "cbf", index))
+            for index, item in enumerate(exact)
+        ]
+        technique = MunichTechnique(Munich(tau=0.5))
+        calibration = technique.calibration_matrix(series, series)
+        epsilons = np.sort(calibration, axis=1)[:, 10]
+        policy = PlanPolicy(mode="auto")
+        assert len(series) ** 2 >= policy.pilot_floor_cells
+        _, stats = technique.matrix_with_stats(
+            "probability", series, series, epsilon=epsilons, tau=0.5,
+            policy=policy,
+        )
+        estimates = stats.explanation.estimates
+        selective = [
+            entry for entry in estimates
+            if entry.selectivity >= policy.min_selectivity
+        ]
+        assert {entry.stage for entry in selective} >= {
+            "bounds", "concentration"
+        }
+        for entry in selective:
+            assert entry.kept, entry
+            assert entry.stage in stats.explanation.chosen_stages
 
     def test_with_policy_returns_new_query_set(self, noise):
         with SimilaritySession(noise) as session:

@@ -42,6 +42,7 @@ from repro.queries import SimilaritySession
 from repro.queries.techniques import DustTechnique, ProudTechnique
 from repro.service import ServiceCatalog, ServiceClient
 from repro.service.catalog import SCHEMA_VERSION, CatalogError, ShardEntry
+from repro.service.client import ServiceError
 from repro.service.cluster import (
     ClusterBackend,
     ClusterCoordinator,
@@ -56,6 +57,7 @@ from repro.service.protocol import (
     build_technique,
     decode_message,
     encode_message,
+    error_response,
 )
 
 SEED = 626
@@ -232,6 +234,20 @@ class TestScatterGatherParity:
             list(row) for row in reference.matches
         ]
 
+    @pytest.mark.parametrize("tau", [0.0, 1e-12, 0.5, 1.0])
+    def test_munich_verdicts_equal_value_mode(
+        self, coordinator, sessions, tau
+    ):
+        """MUNICH decisions (concentration stage included) equal the
+        value-mode matrix thresholded, on the cluster and in process."""
+        local = sessions["ms"].queries().using(build_technique("munich"))
+        values = local.profile_matrix(epsilon=4.0)
+        expected = [list(row) for row in values.result_sets(tau)]
+        merged = coordinator.prob_range("ms", 4.0, tau, "munich")
+        assert [list(row) for row in merged.matches] == expected
+        decided = local.prob_range(4.0, tau)
+        assert [list(row) for row in decided.matches] == expected
+
     def test_range_identical(self, coordinator, sessions):
         merged = coordinator.range("pdf", 4.0, "dust")
         reference = (
@@ -349,6 +365,36 @@ class TestUnifiedFluentSurface:
                 assert [r["stage"] for r in report.records] == [
                     r["stage"] for r in reference.records
                 ]
+        finally:
+            remote.close()
+            clustered.close()
+
+    def test_munich_explain_lists_concentration_everywhere(
+        self, fleet, cluster_catalog, sessions
+    ):
+        """The MUNICH decision plan — concentration stage and its
+        decided counts — reads the same in-process, through one daemon
+        and through the cluster."""
+
+        def records(session):
+            report = (
+                session.queries()
+                .using(build_technique("munich"))
+                .explain(epsilon=4.0, tau=0.5)
+            )
+            return report.plan, [
+                (r["stage"], r["decided"], r["entered"])
+                for r in report.records
+            ]
+
+        plan, reference = records(sessions["ms"])
+        assert "concentration" in plan
+        assert dict((r[0], r[1]) for r in reference)["concentration"] > 0
+        remote = connect(f"tcp://127.0.0.1:{fleet[0].port}/ms")
+        clustered = connect(cluster_catalog, collection="ms")
+        try:
+            for session in (remote, clustered):
+                assert records(session) == (plan, reference)
         finally:
             remote.close()
             clustered.close()
@@ -526,8 +572,11 @@ class FlakyShard:
     arrival order; requests beyond the script answer instantly.
     """
 
-    def __init__(self, delays=()):
+    def __init__(self, delays=(), errors=()):
         self.delays = list(delays)
+        #: Per-request script of structured error types (``None`` =
+        #: answer normally), consumed in arrival order like ``delays``.
+        self.errors = list(errors)
         self.request_ids = []
         self._lock = threading.Lock()
         self._listener = socket.socket(
@@ -560,6 +609,7 @@ class FlakyShard:
                 with self._lock:
                     self.request_ids.append(request["id"])
                     delay = self.delays.pop(0) if self.delays else 0.0
+                    error = self.errors.pop(0) if self.errors else None
                 if delay:
                     time.sleep(delay)
                 reply = {
@@ -571,6 +621,10 @@ class FlakyShard:
                         "scores": [[1.0], [1.0]],
                     },
                 }
+                if error is not None:
+                    reply = error_response(
+                        request["id"], error, f"scripted {error}"
+                    )
                 try:
                     connection.sendall(encode_message(reply))
                 except OSError:
@@ -682,6 +736,88 @@ class TestHedgedRetries:
             assert time.perf_counter() - started < 15
         finally:
             coordinator.close()
+
+
+class TestStructuredErrorReplies:
+    """``{"ok": false}`` replies become typed errors, never ``KeyError``."""
+
+    def test_retryable_error_is_retried_then_answered(self):
+        shard = FlakyShard(errors=["Timeout"])
+        coordinator = _single_shard_coordinator(
+            shard, hedge_after=float("inf"), timeout=30
+        )
+        try:
+            result = coordinator.knn("fake", 1, "euclidean", indices=[0, 1])
+            np.testing.assert_array_equal(result.indices, [[1], [0]])
+            assert result.complete
+            # The retry reused the primary's request id.
+            assert len(shard.request_ids) == 2
+            assert shard.request_ids[0] == shard.request_ids[1]
+        finally:
+            coordinator.close()
+            shard.close()
+
+    @pytest.mark.parametrize(
+        "error_type", ["ProtocolError", "UnsupportedQueryError"]
+    )
+    def test_fatal_error_is_raised_at_once(self, error_type):
+        shard = FlakyShard(errors=[error_type])
+        coordinator = _single_shard_coordinator(
+            shard, hedge_after=float("inf"), timeout=30, allow_partial=True
+        )
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                coordinator.knn("fake", 1, "euclidean", indices=[0, 1])
+            assert excinfo.value.error_type == error_type
+            assert not excinfo.value.retryable
+            assert len(shard.request_ids) == 1  # no retry
+        finally:
+            coordinator.close()
+            shard.close()
+
+    def _two_shards(self, flaky, **kwargs):
+        healthy = FlakyShard()
+        entries = (
+            ShardEntry(0, "127.0.0.1", healthy.port, 0, 2),
+            ShardEntry(1, "127.0.0.1", flaky.port, 2, 4),
+        )
+        coordinator = ClusterCoordinator(
+            {"fake": entries}, hedge_after=float("inf"), timeout=30,
+            **kwargs,
+        )
+        return healthy, coordinator
+
+    def test_still_failing_shard_degrades_to_partial(self):
+        flaky = FlakyShard(errors=["Timeout", "Overloaded"])
+        healthy, coordinator = self._two_shards(flaky, allow_partial=True)
+        try:
+            result = coordinator.knn("fake", 1, "euclidean", indices=[0, 1])
+            assert not result.complete
+            assert result.failed_shards == (f"127.0.0.1:{flaky.port}",)
+            np.testing.assert_array_equal(result.indices, [[1], [0]])
+            assert result.pruning_stats is None or (
+                result.pruning_stats.executor["failed_shards"]
+                == [f"127.0.0.1:{flaky.port}"]
+            )
+        finally:
+            coordinator.close()
+            healthy.close()
+            flaky.close()
+
+    def test_still_failing_shard_raises_without_partial(self):
+        flaky = FlakyShard(errors=["Timeout", "Timeout"])
+        healthy, coordinator = self._two_shards(flaky)
+        try:
+            with pytest.raises(ClusterError) as excinfo:
+                coordinator.knn("fake", 1, "euclidean", indices=[0, 1])
+            assert excinfo.value.failed_shards == (
+                f"127.0.0.1:{flaky.port}",
+            )
+            assert isinstance(excinfo.value.__cause__, ServiceError)
+        finally:
+            coordinator.close()
+            healthy.close()
+            flaky.close()
 
 
 def _free_port() -> int:
